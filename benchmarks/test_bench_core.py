@@ -5,7 +5,6 @@ import pytest
 from repro.core import ParserConfig, match_sequential, train_model_sequential
 from repro.core.cluster import build_tree
 from repro.core.config import ClusterConfig
-from repro.core.model import hash_tokens
 from repro.core.tokenizer import preprocess_message
 from repro.logs import loghub_lite
 
@@ -31,12 +30,11 @@ def test_bench_cluster_kernel(benchmark, corpus):
     for t, c in toks.items():
         by_len.setdefault(len(t), []).append((t, c))
     texts, counts = zip(*max(by_len.values(), key=len))
-    mat = np.vstack([hash_tokens(t) for t in texts])
     cnt = np.array(counts)
     cfg = ClusterConfig()
 
     benchmark(
-        lambda: build_tree(mat, cnt, list(texts), cfg, np.random.default_rng(0))
+        lambda: build_tree(cnt, list(texts), cfg, np.random.default_rng(0))
     )
 
 

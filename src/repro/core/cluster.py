@@ -8,11 +8,12 @@ injection whenever a converged cluster fails to improve the parent's
 saturation (§4.4 "ensure saturation increase"). Early-stop shortcuts
 (§4.7) skip the loop entirely for trivial nodes.
 
-For speed the kernel factorizes the group's hash matrix once into
-per-column integer codes: Eq.-2 frequencies reduce to ``bincount`` over
-the code vocabulary, and the saturation statistics operate on the code
-matrix directly (hashes and codes give identical distinctness-based
-results, asserted in tests).
+The kernel realizes §4.1.4's fixed-width token encoding by factorizing
+the group's token strings once into per-column dense integer codes:
+Eq.-2 frequencies reduce to ``bincount`` over the code vocabulary, and
+the saturation statistics operate on the code matrix directly. Every
+decision depends only on which tokens are equal, never on code values,
+so the trees do not depend on how codes are numbered.
 
 ``build_tree`` applies the process recursively until every node reaches
 the saturation target, producing the template tree rows that
@@ -31,18 +32,17 @@ from repro.core.saturation import node_stats, resolved_masks, saturation
 _EPS = 1e-12
 
 
-def factorize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hash matrix -> (codes, vocab): per-column dense integer codes."""
-    n, m = mat.shape
-    codes = np.empty((n, m), dtype=np.int32)
+def factorize(texts: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-length token tuples -> (codes, vocab): per-column dense
+    integer codes, numbered in order of first appearance."""
+    m = len(texts[0])
+    codes = np.empty((len(texts), m), dtype=np.int32)
     vocab = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        vals, inv = np.unique(mat[:, i], return_inverse=True)
-        codes[:, i] = inv
-        vocab[i] = len(vals)
+    for i, col in enumerate(zip(*texts)):
+        ids: dict[str, int] = {}
+        codes[:, i] = [ids.setdefault(t, len(ids)) for t in col]
+        vocab[i] = len(ids)
     return codes, vocab
-
-
 
 
 def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.ndarray:
@@ -58,7 +58,6 @@ def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.nd
 
 def _early_split(
     codes: np.ndarray,
-    vocab: np.ndarray,
     rows: np.ndarray,
     counts: np.ndarray,
     cfg: ClusterConfig,
@@ -77,7 +76,7 @@ def _early_split(
     if len(unresolved) == 1:
         # Single unresolved position: split directly by its values.
         # Children ordered by first row so the split is independent of
-        # the hash function's value ordering.
+        # how the codes are numbered.
         p = int(unresolved[0])
         vals, inv = np.unique(codes[rows, p], return_inverse=True)
         if len(vals) < 2:
@@ -108,7 +107,7 @@ def split_node(
     if n <= 1:
         return None
     if cfg.early_stop:
-        early = _early_split(codes, vocab, rows, counts, cfg)
+        early = _early_split(codes, rows, counts, cfg)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
 
@@ -177,7 +176,6 @@ class TreeRow:
 
 
 def build_tree(
-    mat: np.ndarray,
     counts: np.ndarray,
     texts: list[tuple[str, ...]],
     cfg: ClusterConfig,
@@ -186,15 +184,14 @@ def build_tree(
 ) -> list[TreeRow]:
     """Hierarchically cluster one initial group into a template tree.
 
-    ``mat``: (n_unique, m) hash matrix; ``counts``: duplicate count per
-    unique log; ``texts``: token strings per unique log (for template
-    rendering). Node saturations are clamped to be non-decreasing along
-    root→leaf paths so query-time ancestor walks are well-defined.
+    ``counts``: duplicate count per unique log; ``texts``: the unique
+    logs' token tuples, all of one length. Node saturations are clamped
+    to be non-decreasing along root→leaf paths so query-time ancestor
+    walks are well-defined.
     """
-    codes, vocab = factorize(mat)
+    codes, vocab = factorize(texts)
     out: list[TreeRow] = []
-    all_rows = np.arange(mat.shape[0])
-    stack: list[tuple[np.ndarray, int]] = [(all_rows, -1)]
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(len(texts)), -1)]
     while stack:
         rows, parent = stack.pop()
         sub, cnt = codes[rows], counts[rows]

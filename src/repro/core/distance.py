@@ -9,62 +9,16 @@ similarity)" — we therefore treat Eq. 2 as a similarity and assign to
 the argmax (DESIGN.md §4). Constant positions (``n_i = 1``) get the
 finite cap ``cfg.const_weight`` instead of the paper's infinite weight.
 
-``cluster_similarity`` is the reference implementation over raw hash
-matrices; ``similarity_matrix_codes`` is the equivalent fast path over
-per-column factorized codes (asserted equal in tests) used by the
-clustering kernel.
+``similarity_matrix_codes`` computes it over the per-column dense codes
+that ``cluster.factorize`` derives from a group's token strings; the
+tests keep a reference implementation over raw 64-bit token hashes and
+assert the two equal.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.config import ClusterConfig
-
-
-def cluster_similarity(
-    mat: np.ndarray,
-    counts: np.ndarray,
-    member_idx: np.ndarray,
-    cfg: ClusterConfig,
-) -> np.ndarray:
-    """Eq.-2 similarity of every log in ``mat`` to one cluster.
-
-    ``mat`` is the node's (n, m) hash matrix, ``counts`` the duplicate
-    count per unique log, ``member_idx`` the rows currently in the
-    cluster. Returns a length-n float array in [0, 1].
-    """
-    n, m = mat.shape
-    sub = mat[member_idx]
-    w_cnt = counts[member_idx].astype(np.float64)
-    total = w_cnt.sum()
-    weights = np.zeros(m, dtype=np.float64)
-    freqs = np.zeros((n, m), dtype=np.float64)
-    for i in range(m):
-        vals, inv = np.unique(sub[:, i], return_inverse=True)
-        per_val = np.bincount(inv, weights=w_cnt)
-        n_i = len(vals)
-        if cfg.position_importance:
-            weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
-        else:
-            weights[i] = 1.0
-        # f_i(L, C): frequency of L's token at position i within C.
-        pos = np.clip(np.searchsorted(vals, mat[:, i]), 0, n_i - 1)
-        hit = vals[pos] == mat[:, i]
-        freqs[:, i] = np.where(hit, per_val[pos], 0.0) / total
-    wsum = weights.sum()
-    return freqs @ weights / wsum if wsum > 0 else np.zeros(n)
-
-
-def similarity_matrix(
-    mat: np.ndarray,
-    counts: np.ndarray,
-    clusters: list[np.ndarray],
-    cfg: ClusterConfig,
-) -> np.ndarray:
-    """(n, k) similarity of every log to every cluster (reference)."""
-    return np.column_stack(
-        [cluster_similarity(mat, counts, c, cfg) for c in clusters]
-    )
 
 
 def similarity_matrix_codes(
@@ -78,7 +32,7 @@ def similarity_matrix_codes(
 
     ``codes``: (n, m) int32 with ``codes[:, i]`` in [0, vocab[i]);
     ``clusters``: row-index arrays. One ``bincount`` per (cluster,
-    position) replaces the reference path's ``np.unique`` calls.
+    position) replaces a per-position ``np.unique``.
     """
     n, m = codes.shape
     k = len(clusters)

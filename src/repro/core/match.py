@@ -1,16 +1,17 @@
 """Online matching (§4.8) — Spark job + sequential reference path.
 
-Logs are matched against stored template texts (never by recomputing
+Logs are matched against stored template tokens (never by recomputing
 clustering distances): per length bucket, candidates are scanned in
 descending saturation order with an equal-or-wildcard position test.
-The Spark path deduplicates token sequences first (matching is a pure
-function of the token sequence), matches the distinct sequences inside
+The Spark path deduplicates token arrays first (matching is a pure
+function of the token sequence), matches the distinct arrays inside
 ``mapInPandas`` with the model broadcast to executors, and joins the
 verdicts back — so duplicate-heavy streams pay once per unique log.
 Logs that match nothing become temporary singleton templates (§3).
 """
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator
 
 import pandas as pd
@@ -18,13 +19,14 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.config import ParserConfig
-from repro.core.model import ParserModel, _SEP
+from repro.core.model import ParserModel
 from repro.core.tokenizer import preprocess_message
 from repro.core.train import preprocess_df
 
-#: executor-side model cache keyed by the broadcast JSON's identity, so
-#: the matching index is built once per executor, not once per task.
-_MODEL_CACHE: dict[int, ParserModel] = {}
+#: executor-side model cache keyed by a digest of the broadcast model
+#: JSON, so the matching index is built once per executor and model, not
+#: once per task, and a different model never hits a stale entry.
+_MODEL_CACHE: dict[str, ParserModel] = {}
 
 
 def _ancestor_map(model: ParserModel, threshold: float | None) -> dict[int, int]:
@@ -51,7 +53,7 @@ def match_sequential(
         nid = memo.get(toks)
         if nid is None:
             if cfg.naive_match and model.train_assignment:
-                nid = model.train_assignment.get(_SEP.join(toks), -1)
+                nid = model.train_assignment.get(toks, -1)
                 if nid < 0:
                     nid = model.match_tokens(toks)
             else:
@@ -83,18 +85,14 @@ def match_df(
     absorb those as temporary templates first if desired).
     """
     cfg = cfg or ParserConfig()
-    pre = (
-        preprocess_df(df.select(id_col, col), col, cfg)
-        .withColumn("tok_key", F.concat_ws(_SEP, "tokens"))
-        .select(id_col, "tok_key")
-    )
-    uniq = pre.select("tok_key").distinct()
+    pre = preprocess_df(df.select(id_col, col), col, cfg).select(id_col, "tokens")
+    uniq = pre.select("tokens").distinct()
     blob = model.to_json()
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     b_model = spark.sparkContext.broadcast(blob)
     b_anc = spark.sparkContext.broadcast(_ancestor_map(model, threshold))
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        key = id(b_model.value)
         m = _MODEL_CACHE.get(key)
         if m is None:
             m = ParserModel.from_json(b_model.value)
@@ -102,25 +100,20 @@ def match_df(
             _MODEL_CACHE[key] = m
         anc = b_anc.value
         for pdf in batches:
-            nids = []
-            for tk in pdf["tok_key"]:
-                nid = m.match_tokens(tuple(tk.split(_SEP)))
-                nids.append(anc.get(nid, nid))
-            yield pd.DataFrame({"tok_key": pdf["tok_key"], "template_id": nids})
+            nids = [m.match_tokens(tuple(t)) for t in pdf["tokens"]]
+            yield pd.DataFrame(
+                {"tokens": pdf["tokens"], "template_id": [anc.get(n, n) for n in nids]}
+            )
 
-    verdicts = uniq.mapInPandas(run, schema="tok_key string, template_id long")
-    out = pre.join(verdicts, on="tok_key", how="left").select(
-        F.col(id_col), F.col("template_id")
+    verdicts = uniq.mapInPandas(run, schema="tokens array<string>, template_id long")
+    templates = spark.createDataFrame(
+        [(nd.nid, nd.text()) for nd in model.nodes], "template_id long, template string"
     )
-    text_map = {nd.nid: nd.text() for nd in model.nodes}
-    b_text = spark.sparkContext.broadcast(text_map)
-
-    @F.pandas_udf("string")
-    def tmpl_text(nid: pd.Series) -> pd.Series:
-        tm = b_text.value
-        return nid.map(lambda x: tm.get(int(x), "")) if len(nid) else nid.astype(str)
-
-    return out.withColumn("template", tmpl_text(F.col("template_id")))
+    return (
+        pre.join(verdicts, on="tokens", how="left")
+        .join(F.broadcast(templates), on="template_id", how="left")
+        .select(id_col, "template_id", F.coalesce("template", F.lit("")).alias("template"))
+    )
 
 
 def add_unmatched_df(
@@ -130,11 +123,10 @@ def add_unmatched_df(
     """Absorb logs that match no template as temporary templates (§3).
     Returns how many temporary templates were added."""
     cfg = cfg or ParserConfig()
-    pre = preprocess_df(df, col, cfg).withColumn("tok_key", F.concat_ws(_SEP, "tokens"))
-    uniq = [r["tok_key"] for r in pre.select("tok_key").distinct().collect()]
+    uniq = preprocess_df(df, col, cfg).select("tokens").distinct().collect()
     added = 0
-    for tk in uniq:
-        toks = tuple(tk.split(_SEP))
+    for r in uniq:
+        toks = tuple(r["tokens"])
         if model.match_tokens(toks) < 0:
             model.add_temp_template(toks)
             added += 1

@@ -1,12 +1,14 @@
 """The trained parser model: template tree, matching index, queries.
 
-The model stores only node metadata (template text, saturation,
+The model stores only node metadata (template tokens, saturation,
 parent/child links, counts) — exactly what the paper keeps in its
-internal topic (§3) — so it is small and JSON-serializable. Online
-matching (§4.8) never recomputes distances: logs are matched against
-template texts in descending saturation order, with an inverted index
-on the most discriminative token position per length bucket so each log
-only inspects a handful of candidate templates.
+internal topic (§3) — so it is small and JSON-serializable; each
+template is stored as a JSON list of its tokens. Online matching (§4.8)
+never recomputes distances: logs are matched against template tokens
+in descending saturation order, with an inverted index on the most
+discriminative token position per length bucket so each log only
+inspects a handful of candidate templates. The index compares 64-bit
+token hashes (``token_hash64``); training never hashes tokens.
 """
 from __future__ import annotations
 
@@ -17,14 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WILDCARD = "*"
-_SEP = "\x1f"
 
 
 def token_hash64(token: str) -> int:
-    """Deterministic 64-bit token hash for the matching index and the
-    pure-Python training path (the Spark path uses Catalyst's
-    ``xxhash64``; the two never need to agree because templates are
-    exchanged as text — see DESIGN.md §6)."""
+    """Deterministic 64-bit token hash for the matching index."""
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big", signed=True)
 
 
@@ -104,7 +102,7 @@ class ParserModel:
         self._buckets: dict[int, _LengthBucket] | None = None
         #: optional training assignment for the "naive match" ablation:
         #: exact token sequence -> nid of the clustering-tree node.
-        self.train_assignment: dict[str, int] = {}
+        self.train_assignment: dict[tuple[str, ...], int] = {}
 
     # -- construction -------------------------------------------------
     def add_node(self, **kw) -> TemplateNode:
@@ -164,7 +162,7 @@ class ParserModel:
         return json.dumps(
             {
                 "nodes": [
-                    [nd.parent, _SEP.join(nd.template), round(nd.saturation, 6),
+                    [nd.parent, nd.template, round(nd.saturation, 6),
                      nd.n_logs, nd.depth, nd.group_key]
                     for nd in self.nodes
                 ]
@@ -176,7 +174,7 @@ class ParserModel:
         model = cls()
         for parent, tmpl, sat, n_logs, depth, gk in json.loads(blob)["nodes"]:
             model.add_node(
-                parent=parent, template=tuple(tmpl.split(_SEP)), saturation=sat,
+                parent=parent, template=tuple(tmpl), saturation=sat,
                 n_logs=n_logs, depth=depth, group_key=gk,
             )
         return model

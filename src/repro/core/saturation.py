@@ -17,9 +17,10 @@ clustering. Implementation notes (DESIGN.md §4):
 * ``f_v`` follows the printed formula, clamped into [0, 1].
 
 All entry points take an ``(n, m)`` integer matrix for the node's
-*unique* logs — raw 64-bit hashes or factorized codes give identical
-results, since every statistic is distinctness/count based — plus the
-optional duplicate multiplicities.
+*unique* logs — the clustering kernel passes the per-column codes of
+``cluster.factorize``; any encoding that maps equal tokens to equal
+integers gives identical results, since every statistic is
+distinctness/count based — plus the optional duplicate multiplicities.
 """
 from __future__ import annotations
 
@@ -49,11 +50,6 @@ def node_stats(
         nu[i] = len(per_val)
         topc[i] = per_val.max()
     return nu, topc, float(w.sum())
-
-
-def distinct_counts(mat: np.ndarray) -> np.ndarray:
-    """Distinct token count per position (length-m int array)."""
-    return node_stats(mat)[0]
 
 
 def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float) -> np.ndarray:

@@ -2,13 +2,18 @@
 
 The Spark path is pure Catalyst up to the clustering kernel: variable
 replacement (`regexp_replace` chain), tokenization (`split`), dedup
-(`groupBy` on the token array), hash encoding (`transform(tokens,
-xxhash64)` — Catalyst's native 64-bit hash, §4.1.4) and initial-group
-keys (§4.2). Each initial group is then clustered independently inside
-``applyInPandas`` — the paper's "hierarchical clustering can be
-performed concurrently for each group". The sequential path runs the
-identical kernel single-threaded (the paper's *ByteBrain Sequential*)
-and is asserted to produce the same template bank in tests.
+(`groupBy` on the token array) and initial-group keys (§4.2). Each
+initial group is then clustered independently inside ``applyInPandas``
+— the paper's "hierarchical clustering can be performed concurrently
+for each group". The sequential path runs the identical kernel
+single-threaded (the paper's *ByteBrain Sequential*) and is asserted to
+produce the same model JSON in tests.
+
+A token sequence is a tuple of strings in Python and an
+``array<string>`` column in Spark, from preprocessing through the tree
+rows to the model; the kernel encodes the tokens itself
+(``cluster.factorize``), so both paths feed it the same input and
+differ only in data movement.
 """
 from __future__ import annotations
 
@@ -19,13 +24,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.cluster import build_tree
+from repro.core.cluster import TreeRow, build_tree
 from repro.core.config import ParserConfig
-from repro.core.model import ParserModel, WILDCARD, hash_tokens, _SEP
+from repro.core.model import ParserModel, WILDCARD
 from repro.core.tokenizer import preprocess_message, spark_replace_variables, spark_tokenize
 
 _TREE_SCHEMA = (
-    "group_key string, idx long, parent long, template string, "
+    "group_key string, idx long, parent long, template array<string>, "
     "saturation double, n_logs long, n_unique long, depth long"
 )
 
@@ -34,48 +39,50 @@ def _group_seed(group_key: str, seed: int) -> int:
     return (zlib.crc32(group_key.encode()) ^ (seed * 0x9E3779B1)) & 0x7FFFFFFF
 
 
-def _canonicalize(mat, counts, texts, cfg: ParserConfig):
+def _canonicalize(counts, texts, cfg: ParserConfig):
     """Canonical row order + OOM sampling guard.
 
     The Spark path delivers unique logs in shuffle order, the sequential
     path in insertion order; sorting by token text makes the two paths
-    (and any hash function) produce bit-identical trees. Oversized
-    groups keep their most frequent unique logs (the paper's random-
-    sampling guard, deterministic here).
+    produce bit-identical trees. Oversized groups keep their most
+    frequent unique logs (the paper's random-sampling guard,
+    deterministic here).
     """
-    order = sorted(range(len(mat)), key=lambda i: texts[i])
-    mat, counts = mat[order], counts[order]
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    counts = counts[order]
     texts = [texts[i] for i in order]
-    if len(mat) > cfg.max_unique_per_group:
+    if len(texts) > cfg.max_unique_per_group:
         keep = np.argsort(-counts, kind="stable")[: cfg.max_unique_per_group]
-        mat, counts = mat[keep], counts[keep]
+        counts = counts[keep]
         texts = [texts[i] for i in keep]
-    return mat, counts, texts
+    return counts, texts
 
 
 def _cluster_group(
     group_key: str,
-    mat: np.ndarray,
     counts: np.ndarray,
     texts: list[tuple[str, ...]],
     cfg: ParserConfig,
-) -> pd.DataFrame:
-    """Cluster one initial group; returns tree rows as a pandas frame."""
-    mat, counts, texts = _canonicalize(mat, counts, texts, cfg)
+) -> tuple[pd.DataFrame, list[TreeRow], list[tuple[str, ...]]]:
+    """Cluster one initial group. Returns its tree rows as a pandas
+    frame, the kernel's ``TreeRow``s, and the canonically ordered unique
+    logs that the ``TreeRow.rows`` index."""
+    counts, texts = _canonicalize(counts, texts, cfg)
     rng = np.random.default_rng(_group_seed(group_key, cfg.cluster.seed))
-    rows = build_tree(mat, counts, texts, cfg.cluster, rng, wildcard=WILDCARD)
-    return pd.DataFrame(
+    rows = build_tree(counts, texts, cfg.cluster, rng, wildcard=WILDCARD)
+    frame = pd.DataFrame(
         {
             "group_key": group_key,
             "idx": [r.idx for r in rows],
             "parent": [r.parent for r in rows],
-            "template": [_SEP.join(r.template) for r in rows],
+            "template": [list(r.template) for r in rows],
             "saturation": [r.saturation for r in rows],
             "n_logs": [r.n_logs for r in rows],
             "n_unique": [r.n_unique for r in rows],
             "depth": [r.depth for r in rows],
         }
     )
+    return frame, rows, texts
 
 
 def _assemble(model: ParserModel, tree_rows: pd.DataFrame) -> ParserModel:
@@ -86,7 +93,7 @@ def _assemble(model: ParserModel, tree_rows: pd.DataFrame) -> ParserModel:
         for row in grp.itertuples(index=False):
             node = model.add_node(
                 parent=local_to_global.get(int(row.parent), -1) if row.parent >= 0 else -1,
-                template=tuple(row.template.split(_SEP)),
+                template=tuple(row.template),
                 saturation=float(row.saturation),
                 n_logs=int(row.n_logs),
                 depth=int(row.depth),
@@ -106,13 +113,11 @@ def preprocess_df(df: DataFrame, col: str, cfg: ParserConfig) -> DataFrame:
 
 
 def group_key_col(cfg: ParserConfig):
-    """Initial-grouping key (§4.2): token count + hashed k-prefix."""
+    """Initial-grouping key (§4.2): token count + k-prefix tokens,
+    byte-identical to the sequential path's key."""
     key = F.col("n_tokens").cast("string")
     if cfg.prefix_k > 0:
-        prefix = F.transform(
-            F.slice("tokens", 1, cfg.prefix_k), lambda t: F.xxhash64(t).cast("string")
-        )
-        key = F.concat_ws("|", key, F.concat_ws("|", prefix))
+        key = F.concat_ws("|", key, F.slice("tokens", 1, cfg.prefix_k))
     return key
 
 
@@ -126,14 +131,12 @@ def train_model(
         uniq = pre.groupBy("tokens", "n_tokens").agg(F.count(F.lit(1)).alias("cnt"))
     else:
         uniq = pre.select("tokens", "n_tokens").withColumn("cnt", F.lit(1))
-    uniq = uniq.withColumn("hashes", F.transform("tokens", lambda t: F.xxhash64(t)))
     uniq = uniq.withColumn("group_key", group_key_col(cfg))
 
     def run_group(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        mat = np.array([np.asarray(h, dtype=np.int64) for h in pdf["hashes"]], dtype=np.int64)
         counts = pdf["cnt"].to_numpy(dtype=np.int64)
         texts = [tuple(t) for t in pdf["tokens"]]
-        return _cluster_group(str(key[0]), mat, counts, texts, cfg)
+        return _cluster_group(str(key[0]), counts, texts, cfg)[0]
 
     tree_rows = (
         uniq.groupBy("group_key")
@@ -166,42 +169,29 @@ def train_model_sequential(
             key += "|" + "|".join(clean[: cfg.prefix_k])
         groups.setdefault(key, []).append((clean, cnt))
 
-    model = ParserModel()
     frames = []
-    assignment: dict[str, tuple[str, int]] = {}
+    assignment: dict[tuple[str, ...], tuple[str, int]] = {}
     for gk in sorted(groups):
         entries = groups[gk]
-        texts = [t for t, _ in entries]
-        mat = np.vstack([hash_tokens(t) for t in texts])
         counts = np.array([c for _, c in entries], dtype=np.int64)
-        frame = _cluster_group(gk, mat, counts, texts, cfg)
+        frame, rows, texts = _cluster_group(gk, counts, [t for t, _ in entries], cfg)
         frames.append(frame)
         if cfg.naive_match:
             # Deepest node containing each unique log = its training
-            # assignment (the "w/ naive match" ablation, §5.4.1). Uses
-            # the same canonicalization as _cluster_group so local node
-            # indices line up.
-            cmat, ccounts, ctexts = _canonicalize(mat, counts, texts, cfg)
-            rng = np.random.default_rng(_group_seed(gk, cfg.cluster.seed))
-            rows = build_tree(cmat, ccounts, ctexts, cfg.cluster, rng, wildcard=WILDCARD)
-            deepest: dict[int, tuple[int, int]] = {}
+            # assignment (the "w/ naive match" ablation, §5.4.1). A node
+            # precedes its descendants in ``rows``, so the last write wins.
+            deepest = np.empty(len(texts), dtype=np.int64)
             for r in rows:
-                for u in r.rows:
-                    cur = deepest.get(int(u))
-                    if cur is None or r.depth >= cur[0]:
-                        deepest[int(u)] = (r.depth, r.idx)
-            for u, (_, local_idx) in deepest.items():
-                assignment[_SEP.join(ctexts[u])] = (gk, local_idx)
-    _assemble(model, pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
-    if cfg.naive_match and assignment:
-        # Map (group, local idx) -> global nid.
-        key_of: dict[tuple[str, int], int] = {}
-        per_group_counter: dict[str, int] = {}
+                deepest[r.rows] = r.idx
+            for toks, local in zip(texts, deepest.tolist()):
+                assignment[toks] = (gk, local)
+    model = _assemble(ParserModel(), pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
+    if assignment:
+        # _assemble adds each group's nodes contiguously in local order.
+        first_nid: dict[str, int] = {}
         for nd in model.nodes:
-            local = per_group_counter.get(nd.group_key, 0)
-            key_of[(nd.group_key, local)] = nd.nid
-            per_group_counter[nd.group_key] = local + 1
+            first_nid.setdefault(nd.group_key, nd.nid)
         model.train_assignment = {
-            text: key_of[(gk, local)] for text, (gk, local) in assignment.items()
+            toks: first_nid[gk] + local for toks, (gk, local) in assignment.items()
         }
     return model

@@ -4,21 +4,19 @@ import pytest
 
 from repro.core.cluster import build_tree, factorize, split_node
 from repro.core.config import ClusterConfig
-from repro.core.model import hash_tokens
 
 CFG = ClusterConfig()
 
 
 def prep(rows, counts=None):
     texts = [tuple(r) for r in rows]
-    mat = np.vstack([hash_tokens(r) for r in rows])
     cnt = np.asarray(counts) if counts is not None else np.ones(len(rows), dtype=np.int64)
-    return mat, cnt, texts
+    return cnt, texts
 
 
 def tree_of(rows, cfg=CFG, counts=None, seed=0):
-    mat, cnt, texts = prep(rows, counts)
-    return build_tree(mat, cnt, texts, cfg, np.random.default_rng(seed))
+    cnt, texts = prep(rows, counts)
+    return build_tree(cnt, texts, cfg, np.random.default_rng(seed))
 
 
 SET2 = [
@@ -30,8 +28,8 @@ SET2 = [
 
 class TestEarlyStops:
     def test_two_logs_split_to_singletons(self):
-        mat, cnt, _ = prep(SET2[:2])
-        codes, vocab = factorize(mat)
+        cnt, texts = prep(SET2[:2])
+        codes, vocab = factorize(texts)
         children = split_node(codes, vocab, cnt, np.arange(2), 0.1, CFG, np.random.default_rng(0))
         assert sorted(len(c) for c in children) == [1, 1]
 
@@ -39,15 +37,15 @@ class TestEarlyStops:
         # Skewed values at position 1 (no variable credit) force the
         # direct value split; duplicates keep their rows together.
         rows = [["a", "x", "c"]] * 5 + [["a", "y", "c"], ["a", "z", "c"]]
-        mat, cnt, _ = prep(rows)
-        codes, vocab = factorize(mat)
+        cnt, texts = prep(rows)
+        codes, vocab = factorize(texts)
         children = split_node(codes, vocab, cnt, np.arange(7), 0.1, CFG, np.random.default_rng(0))
         # Split directly by the 3 distinct values at position 1.
         assert sorted(len(c) for c in children) == [1, 1, 5]
 
     def test_singleton_not_split(self):
-        mat, cnt, _ = prep(SET2[:1])
-        codes, vocab = factorize(mat)
+        cnt, texts = prep(SET2[:1])
+        codes, vocab = factorize(texts)
         assert split_node(codes, vocab, cnt, np.arange(1), 0.0, CFG, np.random.default_rng(0)) is None
 
 

@@ -40,11 +40,7 @@ def node_digest(model) -> str:
 
 
 def assignment_digest(model) -> str:
-    items = (
-        (k if isinstance(k, tuple) else tuple(k.split("\x1f")), v)
-        for k, v in model.train_assignment.items()
-    )
-    return _digest(sorted(items))
+    return _digest(sorted(model.train_assignment.items()))
 
 
 @pytest.mark.parametrize("prefix_k", [0, 1, 2])

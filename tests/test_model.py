@@ -1,7 +1,17 @@
 """ParserModel: matching (§4.8), query traversal (§3), persistence."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import ParserModel, token_hash64
+
+
+#: token characters for the round-trip property: the old template
+#: separator, quotes, backslashes, whitespace and non-ASCII text
+TOKEN_CHARS = st.one_of(
+    st.sampled_from(["\x1f", '"', "'", "\\", " ", "*", "é", "日", "\u2003", "\x00"]),
+    st.characters(),
+)
 
 
 def build_model():
@@ -78,6 +88,31 @@ class TestPersistence:
         m2 = ParserModel.from_json(m.to_json())
         for toks in [("svc", "get", "alpha"), ("svc", "put", "q"), ("svc", "x", "y")]:
             assert m.match_tokens(toks) == m2.match_tokens(toks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text(alphabet=TOKEN_CHARS), min_size=1, max_size=6),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.integers(min_value=1, max_value=10**12),
+                st.text(alphabet=TOKEN_CHARS),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_json_roundtrip_arbitrary_tokens(self, specs):
+        """Tokens with separators, quotes and non-ASCII text survive."""
+        m = ParserModel()
+        for i, (tokens, sat, n_logs, gk) in enumerate(specs):
+            m.add_node(parent=i - 1, template=tuple(tokens), saturation=sat,
+                       n_logs=n_logs, depth=i, group_key=gk)
+        m2 = ParserModel.from_json(m.to_json())
+        assert [(n.parent, n.template, n.n_logs, n.depth, n.group_key) for n in m2.nodes] == [
+            (n.parent, n.template, n.n_logs, n.depth, n.group_key) for n in m.nodes
+        ]
+        assert [n.saturation for n in m2.nodes] == [round(n.saturation, 6) for n in m.nodes]
 
     def test_nbytes_positive_and_small(self):
         m, _ = build_model()

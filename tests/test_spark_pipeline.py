@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core import ParserConfig, match_df, match_sequential, train_model, train_model_sequential
 from repro.core.match import add_unmatched_df
+from repro.core.model import ParserModel
 from repro.core.train import preprocess_df
 from repro.logs import loghub_lite
 from repro.logs.corpus import to_spark
@@ -52,15 +53,23 @@ class TestPreprocessDF:
 
 
 class TestTrainParity:
+    @pytest.mark.parametrize("prefix_k", [0, 1, 2])
     @pytest.mark.parametrize("dataset", ["HDFS", "Zookeeper"])
-    def test_spark_equals_sequential(self, spark, dataset):
+    def test_spark_equals_sequential(self, spark, dataset, prefix_k):
         pdf, _ = loghub_lite(dataset)
-        cfg = ParserConfig()
+        cfg = ParserConfig(prefix_k=prefix_k)
         m_spark = train_model(spark, to_spark(spark, pdf), cfg=cfg)
         m_seq = train_model_sequential(pdf["message"].tolist(), cfg)
-        a = sorted((nd.text(), round(nd.saturation, 9), nd.n_logs) for nd in m_spark.nodes)
-        b = sorted((nd.text(), round(nd.saturation, 9), nd.n_logs) for nd in m_seq.nodes)
-        assert a == b
+        assert m_spark.to_json() == m_seq.to_json()
+
+    def test_separator_char_stays_inside_token(self, spark):
+        """Java's split keeps a token holding the unit separator (U+001F)
+        whole; it must stay one token through the tree rows, so every
+        template keeps its group's token count."""
+        pdf = pd.DataFrame({"message": ["user a\x1fb logged in", "user c logged in"]})
+        model = train_model(spark, spark.createDataFrame(pdf), cfg=ParserConfig())
+        assert model.nodes
+        assert all(len(nd.template) == int(nd.group_key) for nd in model.nodes)
 
     def test_prefix_grouping_spark(self, spark):
         pdf = pd.DataFrame({"message": ["alpha x1 y", "beta x2 y"] * 5, "log_id": range(10)})
@@ -92,6 +101,26 @@ class TestMatchDF:
         model = train_model(spark, df, cfg=cfg)
         out = match_df(spark, df, model, cfg)
         assert out.filter(F.col("template_id") < 0).count() == 0
+
+    def test_models_differing_by_one_template(self, spark, corpus):
+        """Two calls in one session, against models that differ by one
+        temporary template, each give the sequential verdicts."""
+        df, pdf = corpus
+        cfg = ParserConfig()
+        base = train_model(spark, df, cfg=cfg)
+        extended = ParserModel.from_json(base.to_json())
+        extended.add_temp_template(("never", "seen", "message", "body", "qq"))
+        extra = pd.DataFrame(
+            {"message": ["never seen message body qq"], "log_id": [len(pdf)]}
+        )
+        both = pd.concat([pdf[["message", "log_id"]], extra], ignore_index=True)
+        sdf = spark.createDataFrame(both)
+        msgs = both["message"].tolist()
+        for model, extra_nid in ((base, -1), (extended, len(base.nodes)), (base, -1)):
+            out = match_df(spark, sdf, model, cfg).toPandas().sort_values("log_id")
+            seq = match_sequential(msgs, model, cfg, add_unmatched=False)
+            assert out["template_id"].tolist() == seq
+            assert seq[-1] == extra_nid
 
     def test_add_unmatched_df(self, spark, corpus):
         df, pdf = corpus

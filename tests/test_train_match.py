@@ -1,7 +1,7 @@
 """End-to-end sequential pipeline: train, match, query, ablations."""
 import pytest
 
-from repro.core import ParserConfig, match_sequential, train_model_sequential
+from repro.core import ParserConfig, match_sequential, train, train_model_sequential
 from repro.core.config import ClusterConfig
 from repro.eval.ga import grouping_accuracy
 from repro.logs import loghub_lite
@@ -93,6 +93,25 @@ class TestNaiveMatchAblation:
         cfg = ParserConfig(naive_match=True)
         model = train_model_sequential(SET2, cfg)
         assert len(model.train_assignment) == 3
+
+    def test_naive_clusters_each_group_once(self, monkeypatch):
+        """The naive-match assignment reuses the tree rows of the single
+        clustering pass, and the nodes match the text-match model's."""
+        msgs = loghub_lite("Zookeeper")[0]["message"].tolist()
+        calls = []
+        build_tree = train.build_tree
+        monkeypatch.setattr(
+            train, "build_tree", lambda *a, **k: calls.append(1) or build_tree(*a, **k)
+        )
+        naive = train_model_sequential(msgs, ParserConfig(naive_match=True))
+        groups = {nd.group_key for nd in naive.nodes}
+        assert len(calls) == len(groups)
+        monkeypatch.undo()
+        plain = train_model_sequential(msgs, ParserConfig())
+        assert naive.to_json() == plain.to_json()
+        assert naive.train_assignment and set(naive.train_assignment.values()) <= set(
+            range(len(naive.nodes))
+        )
 
     def test_naive_vs_text_match_close(self):
         """§5.4.1: text matching ≈ training assignment (GA within 5%)."""
