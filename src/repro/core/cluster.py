@@ -17,7 +17,12 @@ so the trees do not depend on how codes are numbered.
 
 ``build_tree`` applies the process recursively until every node reaches
 the saturation target, producing the template tree rows that
-``ParserModel`` assembles.
+``ParserModel`` assembles. It computes each multi-log node's statistics
+once (``node_stats`` + ``resolved_masks``) and derives everything the
+node needs from them: its template (the ``nu == 1`` positions), its
+Eq.-3 saturation, and the distinct counts and unresolved positions that
+``split_node`` hands to the early stops. A singleton node computes no
+statistics: its template is its tokens and its saturation is 1.
 """
 from __future__ import annotations
 
@@ -27,9 +32,16 @@ import numpy as np
 
 from repro.core.config import ClusterConfig
 from repro.core.distance import similarity_matrix_codes
-from repro.core.saturation import node_stats, resolved_masks, saturation
+from repro.core.saturation import eq3, node_stats, resolved_masks, saturation
 
 _EPS = 1e-12
+#: stop refining a node once its saturation reaches this value.
+SAT_TARGET = 1.0 - 1e-9
+#: max refinement iterations inside one single-clustering process.
+MAX_ITERS = 12
+#: hard cap on clusters created by one split (safety bound; the
+#: paper's bound is the number of token positions).
+MAX_CLUSTERS = 64
 
 
 def factorize(texts: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -59,20 +71,16 @@ def _assign(sims: np.ndarray, rng: np.random.Generator, balanced: bool) -> np.nd
 def _early_split(
     codes: np.ndarray,
     rows: np.ndarray,
-    counts: np.ndarray,
-    cfg: ClusterConfig,
+    nu: np.ndarray,
+    unresolved: np.ndarray,
 ) -> list[np.ndarray] | None:
-    """§4.7 early stops, on node-relative indices. Returns a partition
-    (list of relative row-index arrays) or None when the full clustering
-    process is required."""
+    """§4.7 early stops, on node-relative indices, from the node's
+    per-position distinct counts ``nu`` and unresolved positions.
+    Returns a partition (list of relative row-index arrays) or None when
+    the full clustering process is required."""
     n = len(rows)
     if n == 2:
         return [np.array([0]), np.array([1])]
-    sub, cnt = codes[rows], counts[rows]
-    stats = node_stats(sub, cnt)
-    nu = stats[0]
-    const, var = resolved_masks(sub, cfg, cnt, stats)
-    unresolved = np.flatnonzero(~(const | var))
     if len(unresolved) == 1:
         # Single unresolved position: split directly by its values.
         # Children ordered by first row so the split is independent of
@@ -95,10 +103,15 @@ def split_node(
     counts: np.ndarray,
     rows: np.ndarray,
     parent_sat: float,
+    nu: np.ndarray,
+    unresolved: np.ndarray,
     cfg: ClusterConfig,
     rng: np.random.Generator,
 ) -> list[np.ndarray] | None:
-    """One single clustering process on ``rows`` of the node.
+    """One single clustering process on ``rows`` of the node, whose
+    saturation is ``parent_sat``, per-position distinct counts ``nu`` and
+    unresolved positions ``unresolved`` (from ``build_tree``'s one
+    statistics pass over the node).
 
     Returns the partition as absolute row-index arrays, or None when the
     node cannot (or need not) be split further.
@@ -107,7 +120,7 @@ def split_node(
     if n <= 1:
         return None
     if cfg.early_stop:
-        early = _early_split(codes, rows, counts, cfg)
+        early = _early_split(codes, rows, nu, unresolved)
         if early is not None:
             return [rows[c] for c in early] if len(early) > 1 else None
 
@@ -129,11 +142,11 @@ def split_node(
 
     prev_assign: np.ndarray | None = None
     sims = sims_for(clusters)
-    for _ in range(max(1, cfg.max_iters)):
+    for _ in range(MAX_ITERS):
         assign = _assign(sims, rng, cfg.balanced)
         clusters = [c for j in range(sims.shape[1]) if len(c := np.flatnonzero(assign == j))]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
-            if not cfg.ensure_sat_increase or len(clusters) >= min(n, cfg.max_clusters):
+            if not cfg.ensure_sat_increase or len(clusters) >= min(n, MAX_CLUSTERS):
                 break
             # Converged: inject a new cluster if some multi-log cluster
             # failed to improve on the parent's saturation (§4.4).
@@ -194,20 +207,25 @@ def build_tree(
     stack: list[tuple[np.ndarray, int]] = [(np.arange(len(texts)), -1)]
     while stack:
         rows, parent = stack.pop()
-        sub, cnt = codes[rows], counts[rows]
-        nu = node_stats(sub, cnt)[0]
-        sat = saturation(sub, cfg, cnt)
+        first = texts[int(rows[0])]
+        if len(rows) == 1:
+            template, sat = first, 1.0
+        else:
+            sub = codes[rows]
+            stats = node_stats(sub, counts[rows])
+            nu = stats[0]
+            const, var = resolved_masks(sub, cfg, stats)
+            unresolved = np.flatnonzero(~(const | var))
+            sat = eq3(nu, stats[2], unresolved, cfg)
+            template = tuple(first[i] if nu[i] == 1 else wildcard for i in range(len(nu)))
         if parent >= 0:
             sat = max(sat, out[parent].saturation)  # monotone down the tree
-        first = texts[int(rows[0])]
         idx = len(out)
         out.append(
             TreeRow(
                 idx=idx,
                 parent=parent,
-                template=tuple(
-                    first[i] if nu[i] == 1 else wildcard for i in range(len(nu))
-                ),
+                template=template,
                 saturation=float(sat),
                 n_logs=int(counts[rows].sum()),
                 n_unique=len(rows),
@@ -215,9 +233,9 @@ def build_tree(
                 rows=rows,
             )
         )
-        if sat >= cfg.sat_target or len(rows) <= 1:
+        if sat >= SAT_TARGET:  # singletons included: their saturation is 1
             continue
-        children = split_node(codes, vocab, counts, rows, sat, cfg, rng)
+        children = split_node(codes, vocab, counts, rows, sat, nu, unresolved, cfg, rng)
         if children is None:
             continue
         for child in children:

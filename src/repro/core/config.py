@@ -13,9 +13,15 @@ random centroid selection      ``ClusterConfig.kmeanspp=False``
 w/o ensure saturation increase ``ClusterConfig.ensure_sat_increase=False``
 w/o balanced group             ``ClusterConfig.balanced=False``
 w/o early stopping             ``ClusterConfig.early_stop=False``
-w/o deduplication & related    ``ParserConfig.dedup=False`` (also turns
-                               off balanced grouping and early stopping)
+w/o deduplication & related    ``ParserConfig.dedup=False`` (dedup alone:
+                               balanced grouping and early stopping stay
+                               on; ablate them with their own flags)
 =============================  =========================================
+
+``naive_match`` is honoured by the sequential path only
+(``train_model_sequential`` / ``match_sequential``); the Spark
+``train_model`` and ``match_df`` reject it rather than silently measure
+text matching under its label.
 """
 from __future__ import annotations
 
@@ -24,32 +30,17 @@ from dataclasses import dataclass, field, replace
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the hierarchical clustering kernel (§4.3–§4.7)."""
+    """Switches for the hierarchical clustering kernel (§4.3–§4.7): the
+    seven cluster-level §5.4 ablation flags plus the RNG seed. The
+    kernel's numeric bounds are module constants next to their readers:
+    ``distance.W_CONST``; ``saturation.VARIABLE_UNIFORMITY``,
+    ``VARIABLE_MAX_SHARE`` and ``VARIABLE_INDEPENDENCE``;
+    ``cluster.SAT_TARGET``, ``MAX_ITERS`` and ``MAX_CLUSTERS``."""
 
     #: weight positions by 1/(n_i - 1) in Eq. 2 (w_i = 1 when off).
     position_importance: bool = True
-    #: weight for fully-constant positions, whose paper weight 1/(n_i-1)
-    #: is infinite (DESIGN.md §4 deviation).
-    const_weight: float = 2.0
     #: count high-variability positions as resolved variables in Eq. 3.
     variable_credit: bool = True
-    #: uniformity bound for the likely-variable test: a non-constant
-    #: position with >=3 distinct tokens is a resolved variable when its
-    #: most frequent token covers at most ``uniformity * n / n_u`` logs,
-    #: i.e. the value distribution looks like an independent variable
-    #: rather than a skewed template mixture (the paper's Set-2
-    #: "structural correlation" argument, DESIGN.md §4).
-    variable_uniformity: float = 3.0
-    #: absolute cap on the top value's share for the likely-variable
-    #: test (the relative bound is vacuous when n_u <= uniformity): a
-    #: position dominated by one value is a skewed enum/mixture, not a
-    #: free variable, and should keep driving splits (Table 4 pinning).
-    variable_max_share: float = 0.5
-    #: independence bound for the likely-variable test: two candidate
-    #: positions must produce at least ``independence * min(n_unique,
-    #: n_i * n_j)`` distinct value pairs, otherwise they are structurally
-    #: correlated (a template mixture) and neither is credited.
-    variable_independence: float = 0.6
     #: apply the paper's confidence factor p_c in Eq. 3.
     confidence_factor: bool = True
     #: K-Means++-style initial/new centroid selection (farthest log).
@@ -60,13 +51,6 @@ class ClusterConfig:
     balanced: bool = True
     #: §4.7 early-stop shortcuts.
     early_stop: bool = True
-    #: stop refining a node once its saturation reaches this value.
-    sat_target: float = 1.0 - 1e-9
-    #: max refinement iterations inside one single-clustering process.
-    max_iters: int = 12
-    #: hard cap on clusters created by one split (safety bound; the
-    #: paper's bound is the number of token positions).
-    max_clusters: int = 64
     #: RNG seed (combined with the group key for per-group streams).
     seed: int = 0
 

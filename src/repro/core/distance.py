@@ -7,7 +7,7 @@ Its value grows with similarity, and the paper assigns each log to the
 cluster of "smallest distance (i.e., the highest positional
 similarity)" — we therefore treat Eq. 2 as a similarity and assign to
 the argmax (DESIGN.md §4). Constant positions (``n_i = 1``) get the
-finite cap ``cfg.const_weight`` instead of the paper's infinite weight.
+finite cap ``W_CONST`` instead of the paper's infinite weight.
 
 ``similarity_matrix_codes`` computes it over the per-column dense codes
 that ``cluster.factorize`` derives from a group's token strings; the
@@ -19,6 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ClusterConfig
+
+#: weight for fully-constant positions, whose paper weight 1/(n_i-1)
+#: is infinite (DESIGN.md §4 deviation).
+W_CONST = 2.0
 
 
 def similarity_matrix_codes(
@@ -47,7 +51,7 @@ def similarity_matrix_codes(
             per_val = np.bincount(sub[:, i], weights=w_cnt, minlength=int(vocab[i]))
             n_i = int(np.count_nonzero(per_val))
             if cfg.position_importance:
-                weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
+                weights[i] = W_CONST if n_i <= 1 else 1.0 / (n_i - 1)
             else:
                 weights[i] = 1.0
             acc += weights[i] * per_val[codes[:, i]]

@@ -85,6 +85,11 @@ def match_df(
     absorb those as temporary templates first if desired).
     """
     cfg = cfg or ParserConfig()
+    if cfg.naive_match:
+        raise ValueError(
+            "naive_match reads the model's training assignment, which only "
+            "match_sequential does; use the sequential path"
+        )
     pre = preprocess_df(df.select(id_col, col), col, cfg).select(id_col, "tokens")
     uniq = pre.select("tokens").distinct()
     blob = model.to_json()

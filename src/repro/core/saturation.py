@@ -16,11 +16,24 @@ clustering. Implementation notes (DESIGN.md §4):
 * resolved positions play the role of ``m_c`` in ``f_c`` and ``p_c``;
 * ``f_v`` follows the printed formula, clamped into [0, 1].
 
-All entry points take an ``(n, m)`` integer matrix for the node's
-*unique* logs — the clustering kernel passes the per-column codes of
-``cluster.factorize``; any encoding that maps equal tokens to equal
-integers gives identical results, since every statistic is
-distinctness/count based — plus the optional duplicate multiplicities.
+Entry points:
+
+* ``node_stats`` computes a node's per-position statistics in one pass;
+  ``resolved_masks`` and ``eq3`` derive the resolved positions and the
+  score from them. ``cluster.build_tree`` calls the three once per
+  multi-log node and reuses the same statistics for the node's template
+  and its §4.7 early stops.
+* ``saturation`` chains the three for one matrix; the
+  ensure-saturation-increase check in ``cluster.split_node`` and the
+  tests use it.
+
+``node_stats``, ``resolved_masks`` and ``saturation`` take an ``(n, m)``
+matrix of non-negative integer codes for the node's *unique* logs (the
+per-column codes of ``cluster.factorize``) plus the optional duplicate
+multiplicities. Any such encoding that maps equal tokens to equal codes
+gives identical results, since every statistic is distinctness/count
+based; the pairwise-independence test keys a pair of codes ``(a, b)``
+exactly as ``a * (max(b) + 1) + b``.
 """
 from __future__ import annotations
 
@@ -30,9 +43,23 @@ import numpy as np
 
 from repro.core.config import ClusterConfig
 
-#: multiplier for combining two code columns into pair keys; an odd
-#: constant keeps the map injective-in-practice under int64 wraparound.
-_PAIR_MIX = np.int64(-0x61C8864680B583EB)  # 0x9E3779B97F4A7C15 as signed
+#: uniformity bound for the likely-variable test: a non-constant
+#: position with >=3 distinct tokens is a resolved variable when its
+#: most frequent token covers at most ``uniformity * n / n_u`` logs,
+#: i.e. the value distribution looks like an independent variable
+#: rather than a skewed template mixture (the paper's Set-2
+#: "structural correlation" argument, DESIGN.md §4).
+VARIABLE_UNIFORMITY = 3.0
+#: absolute cap on the top value's share for the likely-variable
+#: test (the relative bound is vacuous when n_u <= uniformity): a
+#: position dominated by one value is a skewed enum/mixture, not a
+#: free variable, and should keep driving splits (Table 4 pinning).
+VARIABLE_MAX_SHARE = 0.5
+#: independence bound for the likely-variable test: two candidate
+#: positions must produce at least ``independence * min(n_unique,
+#: n_i * n_j)`` distinct value pairs, otherwise they are structurally
+#: correlated (a template mixture) and neither is credited.
+VARIABLE_INDEPENDENCE = 0.6
 
 
 def node_stats(
@@ -52,13 +79,14 @@ def node_stats(
     return nu, topc, float(w.sum())
 
 
-def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float) -> np.ndarray:
+def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Pairwise-independence filter over candidate positions.
 
     Returns a boolean mask over ``cand``: a candidate survives only if,
     against every other candidate, the observed distinct-pair count
-    reaches ``beta * min(n_unique, n_i * n_j)`` — correlated mixture
-    columns produce far fewer distinct pairs than independent variables.
+    reaches ``VARIABLE_INDEPENDENCE * min(n_unique, n_i * n_j)`` —
+    correlated mixture columns produce far fewer distinct pairs than
+    independent variables.
     """
     n = mat.shape[0]
     k = len(cand)
@@ -66,8 +94,8 @@ def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float)
     cols = [mat[:, int(i)].astype(np.int64) for i in cand]
     for a in range(k):
         for b in range(a + 1, k):
-            d = len(np.unique(cols[a] * _PAIR_MIX + cols[b]))
-            if d < beta * min(n, int(nu[cand[a]]) * int(nu[cand[b]])):
+            d = len(np.unique(cols[a] * (int(cols[b].max()) + 1) + cols[b]))
+            if d < VARIABLE_INDEPENDENCE * min(n, int(nu[cand[a]]) * int(nu[cand[b]])):
                 ok[a] = ok[b] = False
     return ok
 
@@ -75,47 +103,41 @@ def _independent(mat: np.ndarray, nu: np.ndarray, cand: np.ndarray, beta: float)
 def resolved_masks(
     mat: np.ndarray,
     cfg: ClusterConfig,
-    counts: np.ndarray | None = None,
-    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
+    stats: tuple[np.ndarray, np.ndarray, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(constant_mask, likely_variable_mask) per position."""
-    nu, topc, n_w = node_stats(mat, counts) if stats is None else stats
+    """(constant_mask, likely_variable_mask) per position, given the
+    node's ``node_stats``."""
+    nu, topc, n_w = stats
     const = nu == 1
     m = len(nu)
     if not cfg.variable_credit or n_w <= 1:
         return const, np.zeros(m, dtype=bool)
     bound = np.minimum(
-        np.ceil(cfg.variable_uniformity * n_w / np.maximum(nu, 1)),
-        np.maximum(1.0, cfg.variable_max_share * n_w),
+        np.ceil(VARIABLE_UNIFORMITY * n_w / np.maximum(nu, 1)),
+        np.maximum(1.0, VARIABLE_MAX_SHARE * n_w),
     )
     # A binary position is indistinguishable from a two-template
     # mixture by these statistics, hence the >=3 floor.
     cand = np.flatnonzero((~const) & (nu >= 3) & (topc <= bound))
     var = np.zeros(m, dtype=bool)
     if len(cand):
-        var[cand[_independent(mat, nu, cand, cfg.variable_independence)]] = True
+        var[cand[_independent(mat, nu, cand)]] = True
     return const, var
 
 
-def saturation(
-    mat: np.ndarray, cfg: ClusterConfig, counts: np.ndarray | None = None
-) -> float:
-    """Eq. 3 with resolved-variable credit; 1.0 for singletons and for
-    fully-resolved nodes, strictly below 1.0 otherwise."""
-    n, m = mat.shape
-    if n <= 1 or m == 0:
-        return 1.0
-    stats = node_stats(mat, counts)
-    nu, _topc, n_w = stats
-    const, var = resolved_masks(mat, cfg, counts, stats)
-    m_r = int(const.sum() + var.sum())
+def eq3(nu: np.ndarray, n_w: float, unresolved: np.ndarray, cfg: ClusterConfig) -> float:
+    """Eq. 3 with resolved-variable credit, from a node's per-position
+    distinct counts ``nu``, its duplicate-weighted log total ``n_w`` and
+    the indices of its unresolved positions: 1.0 when every position is
+    resolved, strictly below 1.0 otherwise."""
+    m = len(nu)
+    m_r = m - len(unresolved)
     if m_r == m:
         return 1.0
     f_c = m_r / m
     if not cfg.variable_credit:
         # Ablation "w/o variable in saturation": s(C) = f_c.
         return f_c
-    unresolved = ~(const | var)
     log_n = math.log(max(n_w, 2.0))
     f_v = min(
         min(max((math.log(int(u)) - 1.0) / log_n, 0.0), 1.0)
@@ -126,3 +148,14 @@ def saturation(
         return f_v * f_c
     p_c = 1.0 / (2 * m - m_r - 1)
     return (f_v * p_c + (1.0 - p_c)) * f_c
+
+
+def saturation(
+    mat: np.ndarray, cfg: ClusterConfig, counts: np.ndarray | None = None
+) -> float:
+    """Eq. 3 of one node matrix; 1.0 for singletons."""
+    if mat.shape[0] <= 1:
+        return 1.0
+    stats = node_stats(mat, counts)
+    const, var = resolved_masks(mat, cfg, stats)
+    return eq3(stats[0], stats[2], np.flatnonzero(~(const | var)), cfg)

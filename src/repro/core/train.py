@@ -18,6 +18,7 @@ differ only in data movement.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -126,6 +127,11 @@ def train_model(
 ) -> ParserModel:
     """Spark offline training: returns the template-tree model."""
     cfg = cfg or ParserConfig()
+    if cfg.naive_match:
+        raise ValueError(
+            "naive_match needs the training assignment, which only "
+            "train_model_sequential builds; use the sequential path"
+        )
     pre = preprocess_df(df, col, cfg)
     if cfg.dedup:
         uniq = pre.groupBy("tokens", "n_tokens").agg(F.count(F.lit(1)).alias("cnt"))
@@ -152,22 +158,19 @@ def train_model_sequential(
     """Single-threaded training on a message list (*ByteBrain
     Sequential*): identical kernel, no Spark."""
     cfg = cfg or ParserConfig()
-    counts_by_tokens: dict[tuple[str, ...], int] = {}
-    for msg in messages:
-        toks = tuple(preprocess_message(msg, replace=cfg.replace_variables))
-        if not toks:
-            continue
-        if cfg.dedup:
-            counts_by_tokens[toks] = counts_by_tokens.get(toks, 0) + 1
-        else:
-            counts_by_tokens.setdefault((*toks, f"\x00{len(counts_by_tokens)}"), 1)
+    tokenized = (
+        toks for msg in messages
+        if (toks := tuple(preprocess_message(msg, replace=cfg.replace_variables)))
+    )
+    # (token tuple, count) per clustered row: one per unique log with
+    # dedup, one per log without it.
+    entries = Counter(tokenized).items() if cfg.dedup else [(toks, 1) for toks in tokenized]
     groups: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for toks, cnt in counts_by_tokens.items():
-        clean = toks if cfg.dedup else toks[:-1]
-        key = str(len(clean))
+    for toks, cnt in entries:
+        key = str(len(toks))
         if cfg.prefix_k > 0:
-            key += "|" + "|".join(clean[: cfg.prefix_k])
-        groups.setdefault(key, []).append((clean, cnt))
+            key += "|" + "|".join(toks[: cfg.prefix_k])
+        groups.setdefault(key, []).append((toks, cnt))
 
     frames = []
     assignment: dict[tuple[str, ...], tuple[str, int]] = {}

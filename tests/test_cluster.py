@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core import cluster, saturation
 from repro.core.cluster import build_tree, factorize, split_node
 from repro.core.config import ClusterConfig
+from repro.core.saturation import node_stats, resolved_masks
 
 CFG = ClusterConfig()
 
@@ -19,6 +21,19 @@ def tree_of(rows, cfg=CFG, counts=None, seed=0):
     return build_tree(cnt, texts, cfg, np.random.default_rng(seed))
 
 
+def split(rows, parent_sat):
+    """``split_node`` over all of ``rows``, fed the node's statistics as
+    ``build_tree`` computes them."""
+    cnt, texts = prep(rows)
+    codes, vocab = factorize(texts)
+    stats = node_stats(codes, cnt)
+    const, var = resolved_masks(codes, CFG, stats)
+    return split_node(
+        codes, vocab, cnt, np.arange(len(texts)), parent_sat,
+        stats[0], np.flatnonzero(~(const | var)), CFG, np.random.default_rng(0),
+    )
+
+
 SET2 = [
     "UserService createUser token abc123 success".split(),
     "UserService deleteUser token xyz789 failed".split(),
@@ -28,25 +43,59 @@ SET2 = [
 
 class TestEarlyStops:
     def test_two_logs_split_to_singletons(self):
-        cnt, texts = prep(SET2[:2])
-        codes, vocab = factorize(texts)
-        children = split_node(codes, vocab, cnt, np.arange(2), 0.1, CFG, np.random.default_rng(0))
+        children = split(SET2[:2], 0.1)
         assert sorted(len(c) for c in children) == [1, 1]
 
     def test_single_unresolved_position_direct_split(self):
         # Skewed values at position 1 (no variable credit) force the
         # direct value split; duplicates keep their rows together.
         rows = [["a", "x", "c"]] * 5 + [["a", "y", "c"], ["a", "z", "c"]]
-        cnt, texts = prep(rows)
-        codes, vocab = factorize(texts)
-        children = split_node(codes, vocab, cnt, np.arange(7), 0.1, CFG, np.random.default_rng(0))
+        children = split(rows, 0.1)
         # Split directly by the 3 distinct values at position 1.
         assert sorted(len(c) for c in children) == [1, 1, 5]
 
     def test_singleton_not_split(self):
-        cnt, texts = prep(SET2[:1])
-        codes, vocab = factorize(texts)
-        assert split_node(codes, vocab, cnt, np.arange(1), 0.0, CFG, np.random.default_rng(0)) is None
+        assert split(SET2[:1], 0.0) is None
+
+
+class TestStatsOncePerNode:
+    # Fig. 5 Set 2 plus free-token variants of two of its actions: the
+    # tree has three levels, a singleton leaf and a full clustering
+    # process whose ensure-saturation-increase check scores children.
+    ROWS = SET2 + [
+        ["UserService", action, "token", f"t{i}", status]
+        for action, status, k in (("createUser", "success", 6), ("deleteUser", "failed", 4))
+        for i in range(k)
+    ]
+
+    def test_node_stats_once_per_multi_log_node(self, monkeypatch):
+        """``build_tree`` computes each multi-log node's statistics once
+        and a singleton's never; the only other passes are the
+        ensure-saturation-increase check scoring candidate children."""
+        in_tree, in_check, scored = [], [], []
+        stats = saturation.node_stats
+        sat = cluster.saturation
+
+        def tree_stats(mat, counts=None):
+            in_tree.append(len(mat))
+            return stats(mat, counts)
+
+        def check_stats(mat, counts=None):
+            in_check.append(len(mat))
+            return stats(mat, counts)
+
+        def scored_sat(*a, **k):
+            scored.append(1)
+            return sat(*a, **k)
+
+        monkeypatch.setattr(cluster, "node_stats", tree_stats)
+        monkeypatch.setattr(saturation, "node_stats", check_stats)
+        monkeypatch.setattr(cluster, "saturation", scored_sat)
+        tree = tree_of(self.ROWS)
+        multi = sorted(r.n_unique for r in tree if r.n_unique > 1)
+        assert max(r.depth for r in tree) >= 2 and scored  # every path ran
+        assert sorted(in_tree) == multi
+        assert len(in_check) == len(scored)
 
 
 class TestTreeInvariants:

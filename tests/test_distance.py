@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cluster import factorize
 from repro.core.config import ClusterConfig
-from repro.core.distance import similarity_matrix_codes
+from repro.core.distance import W_CONST, similarity_matrix_codes
 from repro.core.model import hash_tokens
 
 CFG = ClusterConfig()
@@ -39,7 +39,7 @@ def cluster_similarity(
         per_val = np.bincount(inv, weights=w_cnt)
         n_i = len(vals)
         if cfg.position_importance:
-            weights[i] = cfg.const_weight if n_i <= 1 else 1.0 / (n_i - 1)
+            weights[i] = W_CONST if n_i <= 1 else 1.0 / (n_i - 1)
         else:
             weights[i] = 1.0
         # f_i(L, C): frequency of L's token at position i within C.

@@ -15,6 +15,11 @@ def mat_of(rows):
     return factorize([tuple(r) for r in rows])[0]
 
 
+def masks_of(rows, cfg=CFG):
+    mat = mat_of(rows)
+    return resolved_masks(mat, cfg, node_stats(mat))
+
+
 SET1 = [
     "UserService createUser token abc123 success".split(),
     "UserService createUser token xyz789 success".split(),
@@ -48,16 +53,16 @@ class TestPaperExamples:
 
 class TestResolvedMasks:
     def test_constants_detected(self):
-        const, var = resolved_masks(mat_of(SET1), CFG)
+        const, var = masks_of(SET1)
         assert const.tolist() == [True, True, True, False, True]
 
     def test_fully_distinct_is_variable(self):
-        _, var = resolved_masks(mat_of(SET1), CFG)
+        _, var = masks_of(SET1)
         assert var.tolist() == [False, False, False, True, False]
 
     def test_binary_position_never_variable(self):
         rows = [["a", x, str(i)] for i, x in enumerate(["u", "v"] * 3)]
-        _, var = resolved_masks(mat_of(rows), CFG)
+        _, var = masks_of(rows)
         assert not var[1]
 
     def test_skewed_position_not_variable(self):
@@ -65,7 +70,7 @@ class TestResolvedMasks:
         top-share cap even with >=3 distinct tokens."""
         rows = [["a", "dom", str(i)] for i in range(8)]
         rows += [["a", "x", "90"], ["a", "y", "91"], ["a", "z", "92"]]
-        _, var = resolved_masks(mat_of(rows), CFG)
+        _, var = masks_of(rows)
         assert not var[1]
 
     def test_correlated_positions_not_variable(self):
@@ -75,7 +80,7 @@ class TestResolvedMasks:
         rows = [["svc", a, b] for a, b in pairs for _ in range(3)]
         # Make rows unique via a 4th fully-distinct column.
         rows = [r + [f"id{i}"] for i, r in enumerate(rows)]
-        _, var = resolved_masks(mat_of(rows), CFG)
+        _, var = masks_of(rows)
         assert not var[1] and not var[2]
         assert var[3]  # the id column itself is a clean variable
 
@@ -85,12 +90,12 @@ class TestResolvedMasks:
             ["svc", f"u{rng.integers(8)}", f"k{rng.integers(8)}", f"id{i}"]
             for i in range(60)
         ]
-        _, var = resolved_masks(mat_of(rows), CFG)
+        _, var = masks_of(rows)
         assert var[1] and var[2] and var[3]
 
     def test_variable_credit_off(self):
         cfg = ClusterConfig(variable_credit=False)
-        _, var = resolved_masks(mat_of(SET1), cfg)
+        _, var = masks_of(SET1, cfg)
         assert not var.any()
 
 
@@ -112,8 +117,8 @@ class TestAblationFormulas:
         rows = [["a", f"v{i}", f"id{i}"] for i in range(6)]
         m = mat_of(rows)
         skewed = np.array([100, 1, 1, 1, 1, 1])
-        _, var_flat = resolved_masks(m, CFG)
-        _, var_skew = resolved_masks(m, CFG, counts=skewed)
+        _, var_flat = resolved_masks(m, CFG, node_stats(m))
+        _, var_skew = resolved_masks(m, CFG, node_stats(m, skewed))
         assert var_flat[1] and not var_skew[1]
 
 

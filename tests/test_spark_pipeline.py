@@ -53,14 +53,28 @@ class TestPreprocessDF:
 
 
 class TestTrainParity:
-    @pytest.mark.parametrize("prefix_k", [0, 1, 2])
-    @pytest.mark.parametrize("dataset", ["HDFS", "Zookeeper"])
-    def test_spark_equals_sequential(self, spark, dataset, prefix_k):
+    @staticmethod
+    def assert_parity(spark, dataset, cfg):
         pdf, _ = loghub_lite(dataset)
-        cfg = ParserConfig(prefix_k=prefix_k)
         m_spark = train_model(spark, to_spark(spark, pdf), cfg=cfg)
         m_seq = train_model_sequential(pdf["message"].tolist(), cfg)
         assert m_spark.to_json() == m_seq.to_json()
+
+    @pytest.mark.parametrize("prefix_k", [0, 1, 2])
+    @pytest.mark.parametrize("dataset", ["HDFS", "Zookeeper"])
+    def test_spark_equals_sequential(self, spark, dataset, prefix_k):
+        self.assert_parity(spark, dataset, ParserConfig(prefix_k=prefix_k))
+
+    def test_spark_equals_sequential_without_dedup(self, spark):
+        """``dedup=False`` feeds every log to the kernel as its own row on
+        both paths, so the models still agree byte for byte."""
+        self.assert_parity(spark, "HDFS", ParserConfig(dedup=False))
+
+    def test_naive_match_rejected(self, spark, corpus):
+        """The Spark path builds no training assignment, so it must not
+        run under the naive-match label."""
+        with pytest.raises(ValueError, match="sequential"):
+            train_model(spark, corpus[0], cfg=ParserConfig(naive_match=True))
 
     def test_separator_char_stays_inside_token(self, spark):
         """Java's split keeps a token holding the unit separator (U+001F)
@@ -121,6 +135,10 @@ class TestMatchDF:
             seq = match_sequential(msgs, model, cfg, add_unmatched=False)
             assert out["template_id"].tolist() == seq
             assert seq[-1] == extra_nid
+
+    def test_naive_match_rejected(self, spark, corpus):
+        with pytest.raises(ValueError, match="sequential"):
+            match_df(spark, corpus[0], ParserModel(), ParserConfig(naive_match=True))
 
     def test_add_unmatched_df(self, spark, corpus):
         df, pdf = corpus
